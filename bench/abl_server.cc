@@ -7,7 +7,8 @@
 //   - HEXA_SERVER_ADDR=host:port  drive an already-running server (the
 //     CI smoke job starts hexastore_server and points this at it).
 //   - unset                       start an in-process Server over a
-//     generated LUBM store on an ephemeral loopback port.
+//     generated LUBM store (a 1-shard in-memory ShardedHexastore, the
+//     default hexastore_server shape) on an ephemeral loopback port.
 //
 // Every response is oracle-checked, not just timed:
 //   - Stable templates touch predicates the writer never mutates; their
@@ -48,10 +49,10 @@
 #include <vector>
 
 #include "data/lubm_generator.h"
-#include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
 #include "server/server.h"
 #include "server/store_options.h"
+#include "shard/sharded_hexastore.h"
 
 namespace {
 
@@ -367,7 +368,7 @@ int main() {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::unique_ptr<hexastore::Dictionary> dict;
-  std::unique_ptr<hexastore::DeltaHexastore> store;
+  std::unique_ptr<hexastore::ShardedHexastore> store;
   std::unique_ptr<hexastore::Server> server;
   const char* addr = std::getenv("HEXA_SERVER_ADDR");
   if (addr != nullptr && *addr != '\0') {
@@ -381,7 +382,9 @@ int main() {
     port = static_cast<std::uint16_t>(std::atoi(spec.c_str() + colon + 1));
   } else {
     dict = std::make_unique<hexastore::Dictionary>();
-    store = std::make_unique<hexastore::DeltaHexastore>();
+    hexastore::ShardedOptions store_options;
+    store_options.shards = 1;
+    store = std::make_unique<hexastore::ShardedHexastore>(store_options);
     hexastore::IdTripleVec ids;
     for (const hexastore::Triple& t :
          hexastore::data::LubmGenerator().Generate(preload)) {

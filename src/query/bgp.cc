@@ -1,16 +1,18 @@
 #include "query/bgp.h"
 
 #include "query/planner.h"
-#include "query/session.h"
 
 namespace hexastore {
 
 namespace {
 
-// Recursive index-nested-loop evaluation step.
+// Recursive index-nested-loop evaluation step. With a profile it also
+// counts probes and rows at this depth, times the scan and honors the
+// deadline; without one it reads no clock.
 void EvalStep(const TripleStore& store, const CompiledBgp& bgp,
               const std::vector<std::size_t>& order, std::size_t depth,
-              Binding* binding, const BindingSink& sink) {
+              Binding* binding, const BindingSink& sink,
+              QueryProfile* profile) {
   if (depth == order.size()) {
     sink(*binding);
     return;
@@ -46,87 +48,42 @@ void EvalStep(const TripleStore& store, const CompiledBgp& bgp,
     return true;
   };
 
+  PatternProfile* pp = nullptr;
+  std::uint64_t scan_start = 0;
+  if (profile != nullptr) {
+    scan_start = obs::NowNanos();
+    // Deadline check at the operator boundary: the clock was read
+    // anyway, so an expired budget stops descending before issuing the
+    // scan. The enclosing scans unwind through the same check (the flag
+    // short-circuits Scan callbacks already in flight at shallower
+    // depths).
+    if (profile->deadline_ns != 0 &&
+        (profile->deadline_exceeded || scan_start >= profile->deadline_ns)) {
+      profile->deadline_exceeded = true;
+      return;
+    }
+    pp = &profile->patterns[depth];
+    pp->probes += 1;
+  }
   store.Scan(probe, [&](const IdTriple& t) {
+    if (pp != nullptr) pp->rows_scanned += 1;
     if (!consistent(t)) {
       return;
     }
+    if (pp != nullptr) pp->rows_emitted += 1;
     if (bind_s) binding->Set(p.s.var, t.s);
     if (bind_p) binding->Set(p.p.var, t.p);
     if (bind_o) binding->Set(p.o.var, t.o);
-    EvalStep(store, bgp, order, depth + 1, binding, sink);
+    EvalStep(store, bgp, order, depth + 1, binding, sink, profile);
     if (bind_s) binding->Unset(p.s.var);
     if (bind_p) binding->Unset(p.p.var);
     if (bind_o) binding->Unset(p.o.var);
   });
-}
-
-// EvalStep with per-depth accounting. A separate function (not a branch
-// inside EvalStep) so the unprofiled path keeps exactly its old shape —
-// the profiled/unprofiled fork happens once, in EvalBgp.
-void EvalStepProfiled(const TripleStore& store, const CompiledBgp& bgp,
-                      const std::vector<std::size_t>& order,
-                      std::size_t depth, Binding* binding,
-                      const BindingSink& sink, QueryProfile* profile) {
-  if (depth == order.size()) {
-    sink(*binding);
-    return;
+  if (pp != nullptr) {
+    // Inclusive of deeper recursion (it runs inside the Scan callback);
+    // RenderExplainAnalyze derives self time by subtracting depth+1.
+    pp->wall_ns += obs::NowNanos() - scan_start;
   }
-  const CompiledPattern& p = bgp.patterns[order[depth]];
-
-  auto resolve = [&](const Slot& slot) -> Id {
-    if (!slot.is_var()) {
-      return slot.id;
-    }
-    return binding->Get(slot.var);
-  };
-  IdPattern probe{resolve(p.s), resolve(p.p), resolve(p.o)};
-
-  const bool bind_s = p.s.is_var() && !binding->IsBound(p.s.var);
-  const bool bind_p = p.p.is_var() && !binding->IsBound(p.p.var);
-  const bool bind_o = p.o.is_var() && !binding->IsBound(p.o.var);
-
-  auto consistent = [&](const IdTriple& t) {
-    if (p.s.is_var() && p.o.is_var() && p.s.var == p.o.var && t.s != t.o) {
-      return false;
-    }
-    if (p.s.is_var() && p.p.is_var() && p.s.var == p.p.var && t.s != t.p) {
-      return false;
-    }
-    if (p.p.is_var() && p.o.is_var() && p.p.var == p.o.var && t.p != t.o) {
-      return false;
-    }
-    return true;
-  };
-
-  const std::uint64_t scan_start = obs::NowNanos();
-  // Deadline check at the operator boundary: the clock was read anyway,
-  // so an expired budget stops descending before issuing the scan. The
-  // enclosing scans unwind through the same check (the flag short-
-  // circuits Scan callbacks already in flight at shallower depths).
-  if (profile->deadline_ns != 0 &&
-      (profile->deadline_exceeded || scan_start >= profile->deadline_ns)) {
-    profile->deadline_exceeded = true;
-    return;
-  }
-  PatternProfile& pp = profile->patterns[depth];
-  pp.probes += 1;
-  store.Scan(probe, [&](const IdTriple& t) {
-    pp.rows_scanned += 1;
-    if (!consistent(t)) {
-      return;
-    }
-    pp.rows_emitted += 1;
-    if (bind_s) binding->Set(p.s.var, t.s);
-    if (bind_p) binding->Set(p.p.var, t.p);
-    if (bind_o) binding->Set(p.o.var, t.o);
-    EvalStepProfiled(store, bgp, order, depth + 1, binding, sink, profile);
-    if (bind_s) binding->Unset(p.s.var);
-    if (bind_p) binding->Unset(p.p.var);
-    if (bind_o) binding->Unset(p.o.var);
-  });
-  // Inclusive of deeper recursion (it runs inside the Scan callback);
-  // RenderExplainAnalyze derives self time by subtracting depth+1.
-  pp.wall_ns += obs::NowNanos() - scan_start;
 }
 
 }  // namespace
@@ -137,25 +94,25 @@ void EvalBgp(const TripleStore& store, const CompiledBgp& bgp,
   if (bgp.trivially_empty) {
     return;
   }
-  Binding binding(bgp.vars.size());
-  if (profile == nullptr) {
-    EvalStep(store, bgp, order, 0, &binding, sink);
-    return;
-  }
   // Callers normally AttachPlan first; a bare profile still gets the
   // per-depth actuals keyed by the order's pattern indices.
-  if (profile->patterns.size() != order.size()) {
+  if (profile != nullptr && profile->patterns.size() != order.size()) {
     profile->patterns.resize(order.size());
     for (std::size_t d = 0; d < order.size(); ++d) {
       profile->patterns[d].pattern_index = order[d];
     }
   }
-  EvalStepProfiled(store, bgp, order, 0, &binding, sink, profile);
+  Binding binding(bgp.vars.size());
+  EvalStep(store, bgp, order, 0, &binding, sink, profile);
 }
 
 ResultSet EvalBgp(const TripleStore& store, const Dictionary& dict,
                   const std::vector<TriplePattern>& patterns,
-                  QueryProfile* profile) {
+                  QueryProfile* profile, PlanCache* cache,
+                  const PlanCacheStamp& stamp, bool* from_cache) {
+  if (from_cache != nullptr) {
+    *from_cache = false;
+  }
   CompiledBgp bgp = CompileBgp(patterns, dict);
   ResultSet result;
   result.vars = bgp.vars;
@@ -165,14 +122,16 @@ ResultSet EvalBgp(const TripleStore& store, const Dictionary& dict,
   const BindingSink materialize = [&result](const Binding& b) {
     result.rows.push_back(b.values());
   };
+  PlanProfile plan;
+  PlanProfile* plan_out = profile != nullptr ? &plan : nullptr;
+  const std::uint64_t plan_start = profile != nullptr ? obs::NowNanos() : 0;
+  const std::vector<std::size_t> order =
+      cache != nullptr ? cache->Plan(store, bgp, stamp, plan_out, from_cache)
+                       : PlanBgp(store, bgp, plan_out);
   if (profile == nullptr) {
-    std::vector<std::size_t> order = PlanBgp(store, bgp);
     EvalBgp(store, bgp, order, materialize);
     return result;
   }
-  PlanProfile plan;
-  const std::uint64_t plan_start = obs::NowNanos();
-  std::vector<std::size_t> order = PlanBgp(store, bgp, &plan);
   profile->plan_ns += obs::NowNanos() - plan_start;
   AttachPlan(bgp, dict, plan, profile);
   const std::uint64_t eval_start = obs::NowNanos();
@@ -182,40 +141,6 @@ ResultSet EvalBgp(const TripleStore& store, const Dictionary& dict,
   profile->total_ns = profile->parse_ns + profile->plan_ns +
                       profile->eval_ns;
   return result;
-}
-
-ResultSet EvalBgpPinned(const DeltaHexastore& store, const Dictionary& dict,
-                        const std::vector<TriplePattern>& patterns,
-                        QueryProfile* profile) {
-  if (profile == nullptr) {
-    // One handle for planning and evaluation: the snapshot is itself a
-    // (read-only) TripleStore, so the generic machinery pins the
-    // generation for the entire query. Stays off the Session path to
-    // keep the unprofiled promise (no clock reads).
-    const DeltaHexastore::Snapshot snap = store.GetSnapshot();
-    return EvalBgp(snap, dict, patterns);
-  }
-  // Shim over query::Session (same GetSnapshot pinning); merges the
-  // session's profile additively so a caller-populated parse_ns
-  // survives, and keeps the legacy total = parse + pin convention.
-  query::SessionOptions options;
-  options.pin = query::PinPolicy::kLinearizable;
-  query::Session session(store, dict, options);
-  auto result = session.EvalBgp(patterns);
-  const QueryProfile& sp = session.last_profile();
-  profile->plan_ns += sp.plan_ns;
-  profile->eval_ns += sp.eval_ns;
-  profile->pin_ns += sp.pin_ns;
-  profile->estimate_probes += sp.estimate_probes;
-  profile->memo_hits += sp.memo_hits;
-  profile->rows_out += sp.rows_out;
-  profile->patterns = sp.patterns;
-  profile->operators = sp.operators;
-  profile->total_ns = profile->parse_ns + profile->pin_ns;
-  if (!result.ok()) {
-    return ResultSet{};  // unreachable: bare BGPs have no failing stages
-  }
-  return std::move(result).value().set;
 }
 
 }  // namespace hexastore

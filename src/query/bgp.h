@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "core/store_interface.h"
-#include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
 #include "query/binding.h"
 #include "query/pattern.h"
+#include "query/plan_cache.h"
 #include "query/profile.h"
 
 namespace hexastore {
@@ -29,35 +29,24 @@ using BindingSink = std::function<void(const Binding&)>;
 /// `profile`, when non-null, accumulates per-pattern probes, rows
 /// scanned/emitted and inclusive wall time into
 /// `profile->patterns[depth]` (sized to the order if the caller did not
-/// AttachPlan first). With nullptr the evaluation path is byte-for-byte
-/// the unprofiled one — no clock reads (pinned by
+/// AttachPlan first), and stops descending once `profile->deadline_ns`
+/// has passed. With nullptr no clock is read (pinned by
 /// bench/abl_obs_overhead.cc).
 void EvalBgp(const TripleStore& store, const CompiledBgp& bgp,
              const std::vector<std::size_t>& order, const BindingSink& sink,
              QueryProfile* profile = nullptr);
 
-/// Convenience: compile + plan + evaluate + materialize. With a profile,
-/// also records plan/eval phase times, the chosen plan (AttachPlan) and
-/// rows_out, and sets total_ns = parse_ns + plan_ns + eval_ns.
+/// Convenience: compile + plan + evaluate + materialize. The join order
+/// comes from `cache` under `stamp` when a cache is given (`from_cache`,
+/// when non-null, reports whether it was a hit), else from PlanBgp.
+/// With a profile, also records plan/eval phase times, the chosen plan
+/// (AttachPlan) and rows_out, and sets total_ns = parse_ns + plan_ns +
+/// eval_ns.
 ResultSet EvalBgp(const TripleStore& store, const Dictionary& dict,
                   const std::vector<TriplePattern>& patterns,
-                  QueryProfile* profile = nullptr);
-
-/// Pinned-generation evaluation: takes one snapshot handle up front and
-/// runs planning (delta-aware EstimateMatches) plus every scan of the
-/// whole BGP against that single frozen generation — the query never
-/// touches the store mutex again and never observes a seal, fold or
-/// base merge moving a level underneath it, however long it runs.
-/// Equivalent to `EvalBgp(store.GetSnapshot(), dict, patterns)`.
-/// With a profile, `pin_ns` records how long the generation stayed
-/// pinned (here: the whole query, snapshot acquisition included).
-///
-/// DEPRECATED: the profiled path is a shim over query::Session with
-/// PinPolicy::kLinearizable; prefer Session::EvalBgp, which adds the
-/// plan cache, deadlines and sink aggregation.
-ResultSet EvalBgpPinned(const DeltaHexastore& store, const Dictionary& dict,
-                        const std::vector<TriplePattern>& patterns,
-                        QueryProfile* profile = nullptr);
+                  QueryProfile* profile = nullptr, PlanCache* cache = nullptr,
+                  const PlanCacheStamp& stamp = {},
+                  bool* from_cache = nullptr);
 
 }  // namespace hexastore
 

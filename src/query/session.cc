@@ -8,7 +8,6 @@
 #include "query/bgp.h"
 #include "query/operators.h"
 #include "query/planner.h"
-#include "query/sparql_engine.h"
 
 namespace hexastore {
 namespace query {
@@ -206,7 +205,7 @@ Result<ResultSet> Aggregate(const ResultSet& in, const ParsedQuery& query) {
 // True when the profile carries an expired deadline; sets the flag so
 // every later boundary short-circuits without another clock read.
 bool DeadlineHit(QueryProfile* profile) {
-  if (profile == nullptr || profile->deadline_ns == 0) {
+  if (profile->deadline_ns == 0) {
     return false;
   }
   if (profile->deadline_exceeded) {
@@ -219,64 +218,21 @@ bool DeadlineHit(QueryProfile* profile) {
   return false;
 }
 
-}  // namespace
-
-namespace internal {
-
-ResultSet EvalBgpMaybeCached(const TripleStore& store,
-                             const Dictionary& dict,
-                             const std::vector<TriplePattern>& patterns,
-                             QueryProfile* profile, PlanCache* cache,
-                             const PlanCacheStamp& stamp, bool* from_cache) {
-  if (from_cache != nullptr) {
-    *from_cache = false;
-  }
-  if (cache == nullptr) {
-    // Legacy path, bit-for-bit: EvalBgp owns compile+plan+eval.
-    return hexastore::EvalBgp(store, dict, patterns, profile);
-  }
-  CompiledBgp bgp = CompileBgp(patterns, dict);
-  ResultSet result;
-  result.vars = bgp.vars;
-  if (bgp.trivially_empty) {
-    return result;
-  }
-  const BindingSink materialize = [&result](const Binding& b) {
-    result.rows.push_back(b.values());
-  };
-  if (profile == nullptr) {
-    std::vector<std::size_t> order =
-        cache->Plan(store, bgp, stamp, nullptr, from_cache);
-    hexastore::EvalBgp(store, bgp, order, materialize);
-    return result;
-  }
-  PlanProfile plan;
-  const std::uint64_t plan_start = obs::NowNanos();
-  std::vector<std::size_t> order =
-      cache->Plan(store, bgp, stamp, &plan, from_cache);
-  profile->plan_ns += obs::NowNanos() - plan_start;
-  AttachPlan(bgp, dict, plan, profile);
-  const std::uint64_t eval_start = obs::NowNanos();
-  hexastore::EvalBgp(store, bgp, order, materialize, profile);
-  profile->eval_ns += obs::NowNanos() - eval_start;
-  profile->rows_out += result.rows.size();
-  profile->total_ns =
-      profile->parse_ns + profile->plan_ns + profile->eval_ns;
-  return result;
-}
-
-Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
-                                        const Dictionary& dict,
-                                        const ParsedQuery& query,
-                                        QueryProfile* profile,
-                                        PlanCache* cache,
-                                        const PlanCacheStamp& stamp,
-                                        bool* from_cache) {
+// The solution-modifier pipeline: BGP evaluation (through `cache` with
+// `stamp` when one is given), filters, aggregation, ORDER BY,
+// projection, DISTINCT, LIMIT. `profile` (non-null) receives one
+// OperatorProfile per stage that ran; a blown deadline stops the
+// pipeline at the next stage boundary. `from_cache` reports whether the
+// join order was served by the cache.
+Result<ResultSet> RunPipeline(const TripleStore& store,
+                              const Dictionary& dict,
+                              const ParsedQuery& query, QueryProfile* profile,
+                              PlanCache* cache, const PlanCacheStamp& stamp,
+                              bool* from_cache) {
   // Records one solution-modifier stage; modifier time counts toward the
   // eval phase (everything after parse+plan).
   auto record_op = [&](const char* name, std::uint64_t rows_in,
                        std::uint64_t rows_out, std::uint64_t start_ns) {
-    if (profile == nullptr) return;
     OperatorProfile op;
     op.name = name;
     op.rows_in = rows_in;
@@ -285,17 +241,13 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
     profile->eval_ns += op.wall_ns;
     profile->operators.push_back(op);
   };
-  auto op_start = [&]() -> std::uint64_t {
-    return profile != nullptr ? obs::NowNanos() : 0;
-  };
   auto finish = [&](const ResultSet& r) {
-    if (profile == nullptr) return;
     profile->rows_out = r.rows.size();
     profile->total_ns =
         profile->parse_ns + profile->plan_ns + profile->eval_ns;
   };
 
-  ResultSet result = EvalBgpMaybeCached(store, dict, query.patterns,
+  ResultSet result = hexastore::EvalBgp(store, dict, query.patterns,
                                         profile, cache, stamp, from_cache);
 
   // A blown deadline stops the pipeline at the next operator boundary;
@@ -308,7 +260,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
 
   // Filters.
   if (!query.filters.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t in_rows = result.rows.size();
     std::vector<Row> kept;
     kept.reserve(result.rows.size());
@@ -338,7 +290,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
 
   // Aggregation replaces projection when present.
   if (!query.aggregates.empty() || !query.group_by.empty()) {
-    const std::uint64_t t_agg = op_start();
+    const std::uint64_t t_agg = obs::NowNanos();
     const std::uint64_t in_rows = result.rows.size();
     auto aggregated = Aggregate(result, query);
     if (!aggregated.ok()) {
@@ -347,7 +299,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
     result = std::move(aggregated).value();
     record_op("aggregate", in_rows, result.rows.size(), t_agg);
     if (!query.order_by.empty()) {
-      const std::uint64_t t = op_start();
+      const std::uint64_t t = obs::NowNanos();
       Status s = SortByColumns(&result, dict, query.order_by);
       if (!s.ok()) {
         return s;
@@ -355,7 +307,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
       record_op("order_by", result.rows.size(), result.rows.size(), t);
     }
     if (query.limit.has_value()) {
-      const std::uint64_t t = op_start();
+      const std::uint64_t t = obs::NowNanos();
       const std::uint64_t pre = result.rows.size();
       result = Limit(std::move(result), *query.limit);
       record_op("limit", pre, result.rows.size(), t);
@@ -366,7 +318,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
 
   // ORDER BY (before projection so sort keys need not be projected).
   if (!query.order_by.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     Status s = SortByColumns(&result, dict, query.order_by);
     if (!s.ok()) {
       return s;
@@ -380,7 +332,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
 
   // Projection.
   if (!query.select_vars.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     std::vector<VarId> cols;
     for (const auto& name : query.select_vars) {
       VarId col = result.vars.Lookup(name);
@@ -394,7 +346,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   }
 
   if (query.distinct) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t pre = result.rows.size();
     bool had_order = !query.order_by.empty();
     result = Distinct(std::move(result));
@@ -416,7 +368,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   }
 
   if (query.limit.has_value()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t pre = result.rows.size();
     result = Limit(std::move(result), *query.limit);
     record_op("limit", pre, result.rows.size(), t);
@@ -425,7 +377,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   return result;
 }
 
-}  // namespace internal
+}  // namespace
 
 Session::Session(const DeltaHexastore& store, const Dictionary& dict,
                  SessionOptions options)
@@ -433,16 +385,33 @@ Session::Session(const DeltaHexastore& store, const Dictionary& dict,
 
 Session::Session(const ShardedHexastore& store, const Dictionary& dict,
                  SessionOptions options)
-    : plain_(store),
-      delta_(nullptr),
-      sharded_(&store),
-      dict_(dict),
-      options_(options) {}
+    : plain_(store), sharded_(&store), dict_(dict), options_(options) {}
 
 Session::Session(const TripleStore& store, const Dictionary& dict,
                  SessionOptions options)
-    : plain_(store), delta_(nullptr), dict_(dict), options_(options) {
+    : plain_(store), dict_(dict), options_(options) {
   options_.pin = PinPolicy::kNone;
+}
+
+template <typename Fn>
+auto Session::WithView(Fn&& fn) const {
+  // Only the DeltaHexastore and ShardedHexastore constructors leave a
+  // pin policy other than kNone.
+  const bool linearizable = options_.pin == PinPolicy::kLinearizable;
+  if (options_.pin != PinPolicy::kNone && sharded_ != nullptr) {
+    const ShardedSnapshot snap = linearizable ? sharded_->GetSnapshot()
+                                              : sharded_->AcquireReadHandle();
+    return fn(snap, PlanCacheStamp(snap.StampVector()));
+  }
+  if (options_.pin != PinPolicy::kNone) {
+    const DeltaHexastore::Snapshot snap = linearizable
+                                              ? delta_->GetSnapshot()
+                                              : delta_->AcquireReadHandle();
+    return fn(snap, PlanCacheStamp{snap.epoch(), snap.staged_ops()});
+  }
+  // Unpinned stores have no epoch; the size doubles as a weak staged-
+  // ops stamp (estimate probes catch what it misses).
+  return fn(plain_, PlanCacheStamp{0, plain_.size()});
 }
 
 Result<ResultSet> Session::Run(const ParsedQuery& query,
@@ -450,47 +419,16 @@ Result<ResultSet> Session::Run(const ParsedQuery& query,
   if (options_.deadline_ns != 0) {
     profile_.deadline_ns = obs::NowNanos() + options_.deadline_ns;
   }
-  Result<ResultSet> result = Status::Internal("session: not executed");
-  const bool pinned = (delta_ != nullptr || sharded_ != nullptr) &&
-                      options_.pin != PinPolicy::kNone;
-  if (pinned && sharded_ != nullptr) {
-    const std::uint64_t pin_start = obs::NowNanos();
-    {
-      const ShardedSnapshot snap =
-          options_.pin == PinPolicy::kLinearizable
-              ? sharded_->GetSnapshot()
-              : sharded_->AcquireReadHandle();
-      const PlanCacheStamp stamp(snap.StampVector());
-      result = internal::ExecuteSparqlPipeline(
-          snap, dict_, query, &profile_, options_.plan_cache, stamp,
-          from_cache);
-    }
+  const std::uint64_t pin_start = obs::NowNanos();
+  Result<ResultSet> result = WithView(
+      [&](const TripleStore& view, const PlanCacheStamp& stamp) {
+        return RunPipeline(view, dict_, query, &profile_,
+                           options_.plan_cache, stamp, from_cache);
+      });
+  if (options_.pin != PinPolicy::kNone) {
     profile_.pin_ns = obs::NowNanos() - pin_start;
+    // Pin time encloses plan+eval, so total is parse + pin.
     profile_.total_ns = profile_.parse_ns + profile_.pin_ns;
-  } else if (pinned) {
-    const std::uint64_t pin_start = obs::NowNanos();
-    {
-      const DeltaHexastore::Snapshot snap =
-          options_.pin == PinPolicy::kLinearizable
-              ? delta_->GetSnapshot()
-              : delta_->AcquireReadHandle();
-      const PlanCacheStamp stamp{snap.epoch(), snap.staged_ops()};
-      result = internal::ExecuteSparqlPipeline(
-          snap, dict_, query, &profile_, options_.plan_cache, stamp,
-          from_cache);
-    }
-    profile_.pin_ns = obs::NowNanos() - pin_start;
-    // Pin time encloses plan+eval, so total is parse + pin (the
-    // EvalBgpPinned convention).
-    profile_.total_ns = profile_.parse_ns + profile_.pin_ns;
-  } else {
-    // Unpinned stores have no epoch; the size doubles as a weak staged-
-    // ops stamp (estimate probes catch what it misses).
-    const PlanCacheStamp stamp{0, plain_.size()};
-    result = internal::ExecuteSparqlPipeline(plain_, dict_, query,
-                                             &profile_,
-                                             options_.plan_cache, stamp,
-                                             from_cache);
   }
   if (options_.sink != nullptr) {
     options_.sink->Record(profile_, text);
@@ -546,24 +484,45 @@ Result<QueryResult> Session::EvalBgp(
 }
 
 Result<std::string> Session::Explain(std::string_view text) {
-  // Plan against the same view a query would evaluate (pin policy
-  // honored), but never through the plan cache: EXPLAIN output must be
-  // deterministic for a given store state.
-  if (sharded_ != nullptr && options_.pin != PinPolicy::kNone) {
-    const ShardedSnapshot snap =
-        options_.pin == PinPolicy::kLinearizable
-            ? sharded_->GetSnapshot()
-            : sharded_->AcquireReadHandle();
-    return ExplainSparql(snap, dict_, text);
+  auto parsed = ParseSparql(text);
+  if (!parsed.ok()) {
+    return parsed.status();
   }
-  if (delta_ != nullptr && options_.pin != PinPolicy::kNone) {
-    const DeltaHexastore::Snapshot snap =
-        options_.pin == PinPolicy::kLinearizable
-            ? delta_->GetSnapshot()
-            : delta_->AcquireReadHandle();
-    return ExplainSparql(snap, dict_, text);
+  const ParsedQuery& query = parsed.value();
+  const CompiledBgp bgp = CompileBgp(query.patterns, dict_);
+  std::string out;
+  if (bgp.trivially_empty) {
+    out = "plan: sparql, empty result (constant term not in dictionary)\n";
+  } else {
+    // Plan against the same view a query would evaluate (pin policy
+    // honored), but never through the plan cache: EXPLAIN output must
+    // be deterministic for a given store state.
+    PlanProfile plan;
+    WithView([&](const TripleStore& view, const PlanCacheStamp&) {
+      PlanBgp(view, bgp, &plan);
+    });
+    QueryProfile profile;
+    profile.kind = QueryKind::kSparql;
+    AttachPlan(bgp, dict_, plan, &profile);
+    out = RenderExplain(profile);
   }
-  return ExplainSparql(plain_, dict_, text);
+  // Solution-modifier stages in the order the pipeline applies them.
+  std::string stages;
+  if (!query.filters.empty()) stages += " filter";
+  if (!query.aggregates.empty() || !query.group_by.empty()) {
+    stages += " aggregate";
+    if (!query.order_by.empty()) stages += " order_by";
+    if (query.limit.has_value()) stages += " limit";
+  } else {
+    if (!query.order_by.empty()) stages += " order_by";
+    if (!query.select_vars.empty()) stages += " project";
+    if (query.distinct) stages += " distinct";
+    if (query.limit.has_value()) stages += " limit";
+  }
+  if (!stages.empty()) {
+    out += "modifiers:" + stages + "\n";
+  }
+  return out;
 }
 
 Result<std::string> Session::ExplainAnalyze(std::string_view text) {

@@ -1,8 +1,7 @@
 // The unified query entry point: one Session object binds a store, a
 // dictionary and a query-execution policy (generation pinning, plan
 // cache, profile sink, per-query deadline), and every front end — the
-// REPL, the CLI, the HTTP server, tests — runs queries through it
-// instead of juggling the RunSparql/EvalBgpPinned free functions.
+// REPL, the CLI, the HTTP server, tests — runs queries through it.
 //
 // What a Session owns vs. shares:
 //
@@ -16,8 +15,7 @@
 //
 // A Session itself is single-threaded state (use one per thread). Every
 // query executes profiled — that is what makes deadlines observable and
-// the sink's histograms complete; the legacy unprofiled fast path stays
-// available through the sparql_engine.h shims.
+// the sink's histograms complete.
 //
 // Pinning: under PinPolicy::kWaitFree each query runs against one
 // AcquireReadHandle() generation — wait-free, never blocked by writers
@@ -108,8 +106,11 @@ class Session {
   /// machinery (profile kind kBgp).
   Result<QueryResult> EvalBgp(const std::vector<TriplePattern>& patterns);
 
-  /// EXPLAIN: plan without executing. Always plans fresh (never through
-  /// the cache) so the output is deterministic for a given store state.
+  /// EXPLAIN: parses and plans without executing. The rendered plan
+  /// lists the BGP join order (index choice, bound positions, estimates)
+  /// and the solution-modifier stages that would run. Always plans fresh
+  /// (never through the cache) so the output is deterministic for a
+  /// given store state.
   Result<std::string> Explain(std::string_view text);
 
   /// EXPLAIN ANALYZE: plan and execute (through the full Session
@@ -124,43 +125,25 @@ class Session {
 
  private:
   // Executes `query` against the pinned (or direct) store view with the
-  // shared pipeline; fills profile_/from_cache and feeds the sink.
+  // solution-modifier pipeline; fills profile_/from_cache and feeds the
+  // sink.
   Result<ResultSet> Run(const ParsedQuery& query, std::string_view text,
                         bool* from_cache);
 
-  const TripleStore& plain_;          // evaluation target under kNone
-  const DeltaHexastore* delta_;       // non-null ⇔ single-store pinning
+  // Calls fn(view, stamp) with the view the pin policy selects (a
+  // pinned generation of the store, or the store itself under kNone)
+  // and that view's plan-cache stamp. The pin is released on return.
+  template <typename Fn>
+  auto WithView(Fn&& fn) const;
+
+  const TripleStore& plain_;                   // target under kNone
+  const DeltaHexastore* delta_ = nullptr;      // non-null ⇔ delta pinning
   const ShardedHexastore* sharded_ = nullptr;  // non-null ⇔ sharded pinning
   const Dictionary& dict_;
   SessionOptions options_;
-  QueryProfile profile_;              // reused across queries
+  QueryProfile profile_;                       // reused across queries
 };
 
-namespace internal {
-
-/// The solution-modifier pipeline behind both Session and the legacy
-/// ExecuteSparql shim: BGP evaluation (optionally through `cache` with
-/// `stamp`), filters, aggregation, ORDER BY, projection, DISTINCT,
-/// LIMIT. `profile` may be null (legacy unprofiled path: no clocks, no
-/// deadline checks). `from_cache`, when non-null, reports whether the
-/// join order was served by the cache.
-Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
-                                        const Dictionary& dict,
-                                        const ParsedQuery& query,
-                                        QueryProfile* profile,
-                                        PlanCache* cache,
-                                        const PlanCacheStamp& stamp,
-                                        bool* from_cache);
-
-/// BGP evaluation with optional plan-cache ordering; same contract as
-/// the EvalBgp free function otherwise.
-ResultSet EvalBgpMaybeCached(const TripleStore& store,
-                             const Dictionary& dict,
-                             const std::vector<TriplePattern>& patterns,
-                             QueryProfile* profile, PlanCache* cache,
-                             const PlanCacheStamp& stamp, bool* from_cache);
-
-}  // namespace internal
 }  // namespace query
 }  // namespace hexastore
 

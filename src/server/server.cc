@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <optional>
+#include <shared_mutex>
 #include <utility>
 
 #include "query/result_json.h"
@@ -34,31 +35,15 @@ HttpResponse TextResponse(int status, std::string body) {
 
 }  // namespace
 
-Server::Server(DeltaHexastore& store, Dictionary& dict,
-               const ServerOptions& options)
-    : delta_(&store),
-      write_store_(&store),
-      dict_(&dict),
-      options_(options),
-      plan_cache_(PlanCacheOptions{options.plan_cache_capacity,
-                                   options.plan_cache_q_error}) {
-  options_.Normalize();
-  RegisterInstruments(delta_->metrics_registry());
-}
-
 Server::Server(ShardedHexastore& store, Dictionary& dict,
                const ServerOptions& options)
-    : sharded_(&store),
-      write_store_(&store),
+    : store_(&store),
       dict_(&dict),
       options_(options),
       plan_cache_(PlanCacheOptions{options.plan_cache_capacity,
                                    options.plan_cache_q_error}) {
   options_.Normalize();
-  RegisterInstruments(sharded_->metrics_registry());
-}
-
-void Server::RegisterInstruments(obs::MetricsRegistry& registry) {
+  obs::MetricsRegistry& registry = store_->metrics_registry();
   sink_.RegisterWith(&registry);
   plan_cache_.RegisterWith(&registry);
   registry.RegisterCounter("hexa_server_requests",
@@ -81,14 +66,40 @@ void Server::RegisterInstruments(obs::MetricsRegistry& registry) {
                              &request_ns_);
 }
 
-Server::Server(DurableDeltaHexastore& store, Dictionary& dict,
-               const ServerOptions& options)
-    : Server(const_cast<DeltaHexastore&>(store.delta()), dict, options) {
-  write_store_ = &store;
-  durable_ = &store;
+Server::~Server() { Stop(); }
+
+void Server::DictLock::lock() {
+  std::unique_lock<std::mutex> guard(mu_);
+  ++writers_waiting_;
+  cv_.wait(guard, [this] { return !writer_ && readers_ == 0; });
+  --writers_waiting_;
+  writer_ = true;
 }
 
-Server::~Server() { Stop(); }
+void Server::DictLock::unlock() {
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    writer_ = false;
+  }
+  cv_.notify_all();
+}
+
+void Server::DictLock::lock_shared() {
+  std::unique_lock<std::mutex> guard(mu_);
+  cv_.wait(guard, [this] { return !writer_ && writers_waiting_ == 0; });
+  ++readers_;
+}
+
+void Server::DictLock::unlock_shared() {
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    last = --readers_ == 0;
+  }
+  if (last) {
+    cv_.notify_all();
+  }
+}
 
 Status Server::Start() {
   if (started_) {
@@ -125,7 +136,7 @@ void Server::Stop() {
   if (!started_) {
     return;
   }
-  stop_.store(true, std::memory_order_relaxed);
+  stop_.store(true, std::memory_order_release);
   WakePoller();
   poller_.join();
   {
@@ -156,13 +167,7 @@ void Server::Stop() {
   started_ = false;
 }
 
-void Server::PublishGeneration() {
-  if (sharded_ != nullptr) {
-    sharded_->GetSnapshot();
-  } else {
-    delta_->GetSnapshot();
-  }
-}
+void Server::PublishGeneration() { store_->GetSnapshot(); }
 
 void Server::WakePoller() {
   const char byte = 1;
@@ -196,7 +201,12 @@ void Server::ReturnConnection(int fd) {
 void Server::PollerLoop() {
   std::vector<int> idle;  // keep-alive connections with no bytes pending
   std::vector<pollfd> fds;
-  while (true) {
+  // The stop flag is tested only here, after the previous round drained
+  // the wake pipe: Stop() sets the flag before writing its wake byte, so
+  // a round that drained that byte (perhaps together with a
+  // ReturnConnection byte) is always followed by this test, and the
+  // poller never sleeps in poll() with the flag set.
+  while (!stop_.load(std::memory_order_acquire)) {
     fds.clear();
     fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     fds.push_back(pollfd{listen_fd_, POLLIN, 0});
@@ -207,9 +217,6 @@ void Server::PollerLoop() {
       if (errno == EINTR) {
         continue;
       }
-      break;
-    }
-    if (stop_.load(std::memory_order_relaxed)) {
       break;
     }
     if ((fds[0].revents & POLLIN) != 0) {
@@ -260,13 +267,7 @@ void Server::WorkerLoop() {
   sopts.sink = &sink_;
   sopts.plan_cache = &plan_cache_;
   sopts.deadline_ns = options_.query_deadline_ms * 1000000ull;
-  std::optional<query::Session> session_slot;
-  if (sharded_ != nullptr) {
-    session_slot.emplace(*sharded_, *dict_, sopts);
-  } else {
-    session_slot.emplace(*delta_, *dict_, sopts);
-  }
-  query::Session& session = *session_slot;
+  query::Session session(*store_, *dict_, sopts);
   while (true) {
     int fd = -1;
     {
@@ -317,29 +318,20 @@ HttpResponse Server::Handle(const HttpRequest& request,
   if (request.path == "/metrics") {
     HttpResponse resp;
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    resp.body =
-        sharded_ != nullptr ? sharded_->MetricsText() : delta_->MetricsText();
+    resp.body = store_->MetricsText();
     return resp;
   }
   if (request.path == "/metrics.json") {
     HttpResponse resp;
     resp.content_type = "application/json";
-    resp.body =
-        sharded_ != nullptr ? sharded_->MetricsJson() : delta_->MetricsJson();
+    resp.body = store_->MetricsJson();
     return resp;
   }
   if (request.path == "/healthz") {
-    if (durable_ != nullptr) {
-      const Status wal = durable_->status();
-      if (!wal.ok()) {
-        return TextResponse(500, wal.ToString() + "\n");
-      }
-    }
-    if (sharded_ != nullptr) {
-      const Status wal = sharded_->status();
-      if (!wal.ok()) {
-        return TextResponse(500, wal.ToString() + "\n");
-      }
+    // Sticky WAL error on any shard (always OK in memory).
+    const Status wal = store_->status();
+    if (!wal.ok()) {
+      return TextResponse(500, wal.ToString() + "\n");
     }
     HttpResponse resp;
     resp.content_type = "application/sparql-results+json";
@@ -373,7 +365,7 @@ HttpResponse Server::HandleQuery(const HttpRequest& request,
   // Reader side of the dictionary lock for the whole query, rendering
   // included: evaluation and JSON both resolve term references that a
   // concurrent intern could invalidate.
-  std::shared_lock<std::shared_mutex> read_lock(dict_mu_);
+  std::shared_lock<DictLock> read_lock(dict_mu_);
   auto result = session->Query(text);
   if (!result.ok()) {
     const StatusCode code = result.status().code();
@@ -406,7 +398,7 @@ HttpResponse Server::HandleExplain(const HttpRequest& request,
   }
   const std::string* analyze = request.Param("analyze");
   const bool run = analyze != nullptr && *analyze == "1";
-  std::shared_lock<std::shared_mutex> read_lock(dict_mu_);
+  std::shared_lock<DictLock> read_lock(dict_mu_);
   auto rendered = run ? session->ExplainAnalyze(*q) : session->Explain(*q);
   if (!rendered.ok()) {
     bad_request_total_.Add();
@@ -424,16 +416,19 @@ HttpResponse Server::HandleInsert(const HttpRequest& request) {
     bad_request_total_.Add();
     return TextResponse(400, parsed.status().ToString() + "\n");
   }
-  std::size_t inserted = 0;
-  for (const Triple& triple : parsed.value()) {
-    IdTriple ids;
-    {
-      // Writer side only around interning; the store's own mutex
-      // serializes the insert itself.
-      std::unique_lock<std::shared_mutex> write_lock(dict_mu_);
-      ids = dict_->Encode(triple);
+  // Writer side once for the whole batch, and only around interning:
+  // each shard's own mutex serializes the inserts themselves.
+  IdTripleVec batch;
+  batch.reserve(parsed.value().size());
+  {
+    std::unique_lock<DictLock> write_lock(dict_mu_);
+    for (const Triple& triple : parsed.value()) {
+      batch.push_back(dict_->Encode(triple));
     }
-    if (write_store_->Insert(ids)) {
+  }
+  std::size_t inserted = 0;
+  for (const IdTriple& ids : batch) {
+    if (store_->Insert(ids)) {
       ++inserted;
     }
   }
@@ -460,14 +455,21 @@ HttpResponse Server::HandleErase(const HttpRequest& request) {
     bad_request_total_.Add();
     return TextResponse(400, parsed.status().ToString() + "\n");
   }
-  std::size_t erased = 0;
-  for (const Triple& triple : parsed.value()) {
-    std::optional<IdTriple> ids;
-    {
-      std::shared_lock<std::shared_mutex> read_lock(dict_mu_);
-      ids = dict_->TryEncode(triple);
+  // Reader side once for the whole batch: erasing never interns, and a
+  // term the dictionary has never seen cannot be in the store.
+  IdTripleVec batch;
+  batch.reserve(parsed.value().size());
+  {
+    std::shared_lock<DictLock> read_lock(dict_mu_);
+    for (const Triple& triple : parsed.value()) {
+      if (std::optional<IdTriple> ids = dict_->TryEncode(triple)) {
+        batch.push_back(*ids);
+      }
     }
-    if (ids.has_value() && write_store_->Erase(*ids)) {
+  }
+  std::size_t erased = 0;
+  for (const IdTriple& ids : batch) {
+    if (store_->Erase(ids)) {
       ++erased;
     }
   }

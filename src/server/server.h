@@ -19,11 +19,12 @@
 //  - Each worker thread owns one Session (wait-free pin per query, the
 //    shared PlanCache, the shared ProfileSink, the configured
 //    deadline). A deadline overrun answers 504.
-//  - Writers (/insert, /erase) go through the live store — its own
-//    mutex serializes them — and intern dictionary terms under a writer
-//    lock; queries hold the reader side for their whole execution
-//    (including result rendering) because Dictionary is not internally
-//    synchronized.
+//  - Writers (/insert, /erase) go through the live store — each shard's
+//    own mutex serializes them — after encoding the whole batch's terms
+//    under one dictionary lock acquisition (writer side for /insert,
+//    reader side for /erase); queries hold the reader side for their
+//    whole execution (including result rendering) because Dictionary is
+//    not internally synchronized.
 //
 // Endpoints:
 //   GET/POST /query?q=...      W3C SPARQL JSON results
@@ -31,7 +32,7 @@
 //   GET      /metrics          Prometheus text (whole-store registry)
 //   GET      /metrics.json     JSON export (schema v2)
 //   GET      /healthz          boolean-results JSON; 500 on sticky WAL error
-//   POST     /insert           N-Triples body, staged via the write store
+//   POST     /insert           N-Triples body, routed to the owning shards
 //   POST     /erase            N-Triples body
 #ifndef HEXASTORE_SERVER_SERVER_H_
 #define HEXASTORE_SERVER_SERVER_H_
@@ -41,12 +42,10 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -56,29 +55,21 @@
 #include "server/http.h"
 #include "server/store_options.h"
 #include "shard/sharded_hexastore.h"
-#include "wal/durable_store.h"
 
 namespace hexastore {
 
-/// The HTTP front end over one (Durable)DeltaHexastore. Construct,
-/// Start(), eventually Stop(). The store, dictionary and options are
-/// borrowed and must outlive the server; the server registers its
-/// instruments into the store's MetricsRegistry, so destroy the server
-/// only after the registry's last render (in practice: the server
-/// outlives every /metrics request by construction, and embedders stop
-/// rendering before tearing down).
+/// The HTTP front end over one ShardedHexastore (N >= 1 shards, in
+/// memory or durable). Construct, Start(), eventually Stop(). Writes
+/// route to the owning shard, each query pins a ShardedSnapshot, and the
+/// facade's primary registry (shard 0's) serves /metrics with the
+/// hexa_shard_* series. The store, dictionary and options are borrowed
+/// and must outlive the server; the server registers its instruments
+/// into the store's MetricsRegistry, so destroy the server only after
+/// the registry's last render (in practice: the server outlives every
+/// /metrics request by construction, and embedders stop rendering
+/// before tearing down).
 class Server {
  public:
-  /// In-memory backend.
-  Server(DeltaHexastore& store, Dictionary& dict,
-         const ServerOptions& options);
-  /// Durable backend: mutations go through the WAL wrapper, reads pin
-  /// generations of the wrapped store.
-  Server(DurableDeltaHexastore& store, Dictionary& dict,
-         const ServerOptions& options);
-  /// Sharded backend (HEXA_SHARDS > 1): writes route to the owning
-  /// shard, each query pins a ShardedSnapshot, and the facade's primary
-  /// registry (shard 0's) serves /metrics with the hexa_shard_* series.
   Server(ShardedHexastore& store, Dictionary& dict,
          const ServerOptions& options);
   ~Server();
@@ -117,30 +108,38 @@ class Server {
   HttpResponse HandleInsert(const HttpRequest& request);
   HttpResponse HandleErase(const HttpRequest& request);
 
-  // Registers the hexa_server_* instruments, the sink and the plan
-  // cache with the backend's registry (shared ctor tail).
-  void RegisterInstruments(obs::MetricsRegistry& registry);
-  // Publishes the current generation(s) so wait-free read handles see
-  // everything written so far (see the freshness note on the write
-  // handlers).
+  // Publishes every shard's current generation so wait-free read
+  // handles see everything written so far (see the freshness note on
+  // the write handlers).
   void PublishGeneration();
 
-  // Backend bindings. Exactly one of delta_/sharded_ is non-null and is
-  // the store the read path pins (and whose registry serves /metrics);
-  // write_store_ is the mutation target (the WAL wrapper when durable,
-  // the facade when sharded); durable_ is non-null only for /healthz's
-  // sticky-error check (the sharded facade checks status() itself).
-  const DeltaHexastore* delta_ = nullptr;
-  ShardedHexastore* sharded_ = nullptr;
-  TripleStore* write_store_;
-  DurableDeltaHexastore* durable_ = nullptr;
+  ShardedHexastore* store_;
   Dictionary* dict_;
   ServerOptions options_;
+
+  // Reader/writer lock over the dictionary that admits no new reader
+  // while a writer waits. Queries hold the reader side for their whole
+  // run, so under a reader-preferring lock (std::shared_mutex on glibc)
+  // overlapping queries could keep /insert waiting for seconds.
+  class DictLock {
+   public:
+    void lock();
+    void unlock();
+    void lock_shared();
+    void unlock_shared();
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::size_t readers_ = 0;
+    std::size_t writers_waiting_ = 0;
+    bool writer_ = false;
+  };
 
   // Shared query machinery (thread-safe; one per server, all workers).
   ProfileSink sink_;
   PlanCache plan_cache_;
-  mutable std::shared_mutex dict_mu_;
+  DictLock dict_mu_;
 
   // Server instruments (registered into the store's registry).
   obs::Counter requests_total_;

@@ -5,11 +5,14 @@
 // Configuration is entirely environment-driven through
 // StoreOptions::FromEnv() — see store_options.h for the full table and
 // docs/server.md for semantics. The optional positional argument bulk-
-// loads an N-Triples file before serving. With HEXA_WAL_DIR set the
-// store is durable (recovers on start, logs every mutation).
+// loads an N-Triples file before serving. The store is always a
+// ShardedHexastore with HEXA_SHARDS shards (1 by default); with
+// HEXA_WAL_DIR set it is durable (recovers on start, logs every
+// mutation) and its directory holds a SHARDS manifest plus one
+// shard-NNN/ WAL directory per shard.
 //
 // Runs until SIGINT/SIGTERM, then drains workers and (when durable)
-// flushes the WAL tail.
+// flushes the WAL tails.
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -28,7 +31,7 @@ sem_t g_shutdown_sem;
 
 void HandleSignal(int) { sem_post(&g_shutdown_sem); }
 
-// Bulk-load an N-Triples file through the write store.
+// Bulk-loads an N-Triples file into the store.
 bool LoadFile(const char* path, hexastore::TripleStore* store,
               hexastore::Dictionary* dict) {
   std::ifstream in(path);
@@ -72,60 +75,29 @@ int main(int argc, char** argv) {
                  notes.c_str());
   }
 
-  hexastore::Dictionary dict;
-  std::unique_ptr<hexastore::DeltaHexastore> plain;
-  std::unique_ptr<hexastore::DurableDeltaHexastore> durable;
-  std::unique_ptr<hexastore::ShardedHexastore> sharded;
-  if (options.shards > 1) {
-    hexastore::ShardedOptions sopts;
-    sopts.shards = options.shards;
-    sopts.delta = options.delta;
-    sopts.durable = options.durable;
-    sopts.durability = options.durability;
-    auto opened = hexastore::ShardedHexastore::Open(sopts);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "hexastore_server: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    sharded = std::move(opened).value();
-    std::fprintf(stderr, "hexastore_server: %zu shards%s\n", options.shards,
-                 options.durable ? " (durable)" : "");
-  } else if (options.durable) {
-    auto opened = hexastore::DurableDeltaHexastore::Open(options.durability);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "hexastore_server: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    durable = std::move(opened).value();
-    std::fprintf(stderr, "hexastore_server: durable store in %s\n",
-                 options.durability.dir.c_str());
-  } else {
-    plain = std::make_unique<hexastore::DeltaHexastore>(options.delta);
+  hexastore::ShardedOptions sopts;
+  sopts.shards = options.shards;
+  sopts.delta = options.delta;
+  sopts.durable = options.durable;
+  sopts.durability = options.durability;
+  auto opened = hexastore::ShardedHexastore::Open(sopts);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "hexastore_server: %s\n",
+                 opened.status().ToString().c_str());
+    return 1;
   }
-  hexastore::TripleStore* write_store =
-      sharded != nullptr
-          ? static_cast<hexastore::TripleStore*>(sharded.get())
-          : durable != nullptr
-                ? static_cast<hexastore::TripleStore*>(durable.get())
-                : plain.get();
-  if (argc > 1 && !LoadFile(argv[1], write_store, &dict)) {
+  const std::unique_ptr<hexastore::ShardedHexastore> store =
+      std::move(opened).value();
+  std::fprintf(stderr, "hexastore_server: %zu shard(s)%s%s\n",
+               store->shard_count(), options.durable ? ", durable in " : "",
+               options.durable ? options.durability.dir.c_str() : "");
+  hexastore::Dictionary dict;
+  if (argc > 1 && !LoadFile(argv[1], store.get(), &dict)) {
     return 1;
   }
 
-  std::unique_ptr<hexastore::Server> server;
-  if (sharded != nullptr) {
-    server = std::make_unique<hexastore::Server>(*sharded, dict,
-                                                 options.server);
-  } else if (durable != nullptr) {
-    server = std::make_unique<hexastore::Server>(*durable, dict,
-                                                 options.server);
-  } else {
-    server = std::make_unique<hexastore::Server>(*plain, dict,
-                                                 options.server);
-  }
-  hexastore::Status started = server->Start();
+  hexastore::Server server(*store, dict, options.server);
+  hexastore::Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "hexastore_server: %s\n",
                  started.ToString().c_str());
@@ -134,7 +106,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "hexastore_server: listening on http://%s:%u/ "
                "(%zu workers, queue %zu, deadline %llu ms)\n",
-               options.server.host.c_str(), server->port(),
+               options.server.host.c_str(), server.port(),
                options.server.threads, options.server.queue_depth,
                static_cast<unsigned long long>(
                    options.server.query_deadline_ms));
@@ -145,15 +117,12 @@ int main(int argc, char** argv) {
   while (sem_wait(&g_shutdown_sem) != 0) {
   }
   std::fprintf(stderr, "hexastore_server: shutting down\n");
-  server->Stop();
-  if (durable != nullptr || (sharded != nullptr && sharded->durable())) {
-    hexastore::Status flushed =
-        durable != nullptr ? durable->Flush() : sharded->Flush();
-    if (!flushed.ok()) {
-      std::fprintf(stderr, "hexastore_server: flush: %s\n",
-                   flushed.ToString().c_str());
-      return 1;
-    }
+  server.Stop();
+  // Fsyncs every shard's WAL tail; OK at once in memory.
+  if (hexastore::Status flushed = store->Flush(); !flushed.ok()) {
+    std::fprintf(stderr, "hexastore_server: flush: %s\n",
+                 flushed.ToString().c_str());
+    return 1;
   }
   return 0;
 }

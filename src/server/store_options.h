@@ -17,7 +17,7 @@
 //   HEXA_L1_BASE_FRACTION     <float>      .l1_base_fraction
 //   HEXA_MEM_BUDGET           <bytes>      .memory_budget_bytes
 //   HEXA_FILTER_BITS          <bits>       .filter_bits_per_key
-//   HEXA_SHARDS               <n>          shards (>1 = ShardedHexastore)
+//   HEXA_SHARDS               <n>          shards of the ShardedHexastore
 //
 //   durability (HEXA_WAL_DIR set => durable = true)
 //   HEXA_WAL_DIR              <path>       durability.dir
@@ -83,13 +83,13 @@ struct ServerOptions {
 struct StoreOptions {
   DeltaOptions delta;
   DurabilityOptions durability;
-  /// True: open a DurableDeltaHexastore in durability.dir. False: plain
-  /// in-memory DeltaHexastore (durability ignored).
+  /// True: every shard is a DurableDeltaHexastore under
+  /// durability.dir (a SHARDS manifest plus shard-NNN/ directories).
+  /// False: in-memory shards (durability ignored).
   bool durable = false;
-  /// Shards behind the store. 1 = a single (Durable)DeltaHexastore as
-  /// before; >1 = a ShardedHexastore facade partitioning by subject
-  /// hash, with per-shard WAL directories under durability.dir when
-  /// durable (docs/sharding.md). 0 is repaired to 1.
+  /// Shards of the ShardedHexastore facade the server serves,
+  /// partitioned by subject hash (docs/sharding.md); 1 is a 1-shard
+  /// facade. 0 is repaired to 1.
   std::size_t shards = 1;
   ServerOptions server;
 

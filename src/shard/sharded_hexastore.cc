@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "wal/file_util.h"
+#include "wal/manifest.h"
 
 namespace hexastore {
 
@@ -144,6 +145,17 @@ Result<std::unique_ptr<ShardedHexastore>> ShardedHexastore::Open(
           " (reopen with the recorded count)");
     }
   } else if (recorded.status().code() == StatusCode::kNotFound) {
+    // A root MANIFEST without SHARDS is a single DurableDeltaHexastore
+    // directory. Its WAL would not be read from shard-000/, so opening
+    // it here would start empty beside the old data.
+    if (fs::exists(fs::path(opts.durability.dir) / kManifestFileName)) {
+      return Status::InvalidArgument(
+          opts.durability.dir +
+          " holds a single-store WAL layout (MANIFEST and segments at the "
+          "root); the sharded layout is a SHARDS manifest plus one "
+          "shard-NNN/ directory per shard. Move the old files into " +
+          opts.durability.dir + "/shard-000/ and reopen with 1 shard.");
+    }
     if (Status s = WriteShardsManifest(opts.durability.dir, opts.shards);
         !s.ok()) {
       return s;

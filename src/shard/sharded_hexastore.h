@@ -137,7 +137,10 @@ class ShardedHexastore : public TripleStore {
   /// and records the shard count in a `SHARDS` manifest at the root;
   /// reopening with a different count fails with InvalidArgument (the
   /// partition function would misroute every triple, so this is a
-  /// config error, never silent corruption).
+  /// config error, never silent corruption). A root that holds a
+  /// single-store DurableDeltaHexastore layout (a MANIFEST and no
+  /// SHARDS) also fails with InvalidArgument instead of starting empty
+  /// beside the old log.
   static Result<std::unique_ptr<ShardedHexastore>> Open(
       const ShardedOptions& options);
 

@@ -648,5 +648,52 @@ TEST_F(CrashRecoveryTest, ShardCountChangeRejectedWithClearError) {
   EXPECT_EQ(ContentsBytes(*reopened.value()), expected);
 }
 
+// A directory written by a plain DurableDeltaHexastore (MANIFEST and
+// segments at the root, no SHARDS) must not open as an empty facade
+// beside the old log: Open names both layouts and leaves the directory
+// untouched. Moving the old files into shard-000/ is the migration, and
+// the 1-shard facade then recovers every triple.
+TEST_F(CrashRecoveryTest, SingleStoreLayoutRejectedByFacade) {
+  const std::string dir = Dir("single");
+  std::string expected;
+  {
+    DurabilityOptions single;
+    single.dir = dir;
+    single.mode = DurabilityMode::kNone;
+    auto opened = DurableDeltaHexastore::Open(single);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    for (Id i = 1; i <= 50; ++i) {
+      opened.value()->Insert(IdTriple{i, 100 + i % 3, 200 + i % 7});
+    }
+    ASSERT_TRUE(opened.value()->Flush().ok());
+    expected = ContentsBytes(*opened.value());
+  }
+
+  ShardedOptions options;
+  options.shards = 1;
+  options.durable = true;
+  options.durability.dir = dir;
+  auto rejected = ShardedHexastore::Open(options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = rejected.status().message();
+  EXPECT_NE(message.find("single-store"), std::string::npos) << message;
+  EXPECT_NE(message.find("SHARDS"), std::string::npos) << message;
+  EXPECT_NE(message.find("shard-NNN/"), std::string::npos) << message;
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "SHARDS"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "shard-000"));
+
+  const fs::path shard0 = fs::path(dir) / "shard-000";
+  fs::create_directories(shard0);
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.path() != shard0) {
+      fs::rename(entry.path(), shard0 / entry.path().filename());
+    }
+  }
+  auto migrated = ShardedHexastore::Open(options);
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  EXPECT_EQ(ContentsBytes(*migrated.value()), expected);
+}
+
 }  // namespace
 }  // namespace hexastore

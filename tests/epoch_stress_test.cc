@@ -614,15 +614,19 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  // EvalBgpPinned plans and evaluates against a single generation; on a
-  // quiescent store it must agree with the live evaluation.
+  // A linearizable Session plans and evaluates against a single
+  // generation; on a quiescent store it must agree with the live
+  // evaluation.
   store.Compact();
   const std::vector<TriplePattern> patterns = {
       {PatternTerm::Variable("x"), PatternTerm::Bound(dict.term(p_knows)),
        PatternTerm::Variable("y")}};
-  const ResultSet pinned = EvalBgpPinned(store, dict, patterns);
+  query::Session session(store, dict,
+                         {.pin = query::PinPolicy::kLinearizable});
+  const auto pinned = session.EvalBgp(patterns);
+  ASSERT_TRUE(pinned.ok());
   const ResultSet live = EvalBgp(store, dict, patterns);
-  EXPECT_EQ(pinned.rows.size(), live.rows.size());
+  EXPECT_EQ(pinned.value().set.rows.size(), live.rows.size());
 }
 
 // Concurrent profiled queries against a churning store: every profile
@@ -653,9 +657,11 @@ TEST(EpochStressTest, ProfiledQueriesUnderBackgroundChurn) {
       Rng rng(17 + r);
       while (!done.load(std::memory_order_acquire)) {
         queries.fetch_add(1, std::memory_order_relaxed);
-        QueryProfile profile;
-        const ResultSet result =
-            EvalBgpPinned(store, dict, patterns, &profile);
+        query::Session session(store, dict,
+                               {.pin = query::PinPolicy::kLinearizable});
+        const auto pinned = session.EvalBgp(patterns);
+        const ResultSet& result = pinned.value().set;
+        const QueryProfile& profile = pinned.value().profile;
         // The profile describes exactly the pinned evaluation: one
         // pattern, row count matching the result, phases that add up.
         if (profile.patterns.size() != 1 ||

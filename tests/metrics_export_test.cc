@@ -14,9 +14,8 @@
 
 #include "core/graph.h"
 #include "delta/delta_hexastore.h"
-#include "query/bgp.h"
 #include "query/profile.h"
-#include "query/sparql_engine.h"
+#include "query/session.h"
 #include "wal/durable_store.h"
 
 namespace hexastore {
@@ -136,11 +135,10 @@ TEST(MetricsExportTest, SlowQueryJsonSection) {
   g.Insert({Term::Iri("s"), Term::Iri("p"), Term::Iri("o")});
 
   const std::string query = "SELECT ?o WHERE { <s> <p> ?o }";
-  QueryProfile profile;
-  auto result = RunSparql(g.store(), g.dict(), query, &profile);
+  auto result = query::Session(g.store(), g.dict()).Query(query);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().rows.size(), 1u);
-  sink.Record(profile, query);
+  EXPECT_EQ(result.value().set.rows.size(), 1u);
+  sink.Record(result.value().profile, query);
 
   const std::string prom = g.MetricsText();
   EXPECT_NE(prom.find("# TYPE hexa_query_sparql_latency_ns histogram"),
@@ -243,14 +241,14 @@ TEST(MetricsExportTest, QueryChurnAndEnvDump) {
                                 Term::Iri("o" + std::to_string(i % 31))}));
     }
 
-    QueryProfile profile;
-    const ResultSet result = EvalBgpPinned(
-        store, dict,
+    query::Session session(store, dict,
+                           {.pin = query::PinPolicy::kLinearizable});
+    const auto result = session.EvalBgp(
         {{PatternTerm::Variable("s"), PatternTerm::Bound(Term::Iri("p0")),
-          PatternTerm::Variable("o")}},
-        &profile);
-    EXPECT_EQ(result.rows.size(), 60u);
-    sink.Record(profile, "BGP ?s <p0> ?o");
+          PatternTerm::Variable("o")}});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().set.rows.size(), 60u);
+    sink.Record(result.value().profile, "BGP ?s <p0> ?o");
     EXPECT_EQ(sink.histogram(QueryKind::kBgp)->Snapshot().count, 1u);
     // Store destructs here, with HEXA_METRICS_JSON still set.
   }

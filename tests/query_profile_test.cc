@@ -14,7 +14,7 @@
 #include "query/merge_join.h"
 #include "query/path.h"
 #include "query/profile.h"
-#include "query/sparql_engine.h"
+#include "query/session.h"
 
 namespace hexastore {
 namespace {
@@ -90,12 +90,11 @@ TEST_F(QueryProfileTest, ProfiledAndUnprofiledResultsMatch) {
 }
 
 TEST_F(QueryProfileTest, SparqlProfileRecordsPhasesAndOperators) {
-  QueryProfile profile;
-  auto result = RunSparql(store_, dict_,
-                          "SELECT DISTINCT ?x WHERE { ?x <p2> ?y } "
-                          "ORDER BY ?x LIMIT 5",
-                          &profile);
+  auto result = query::Session(store_, dict_)
+                    .Query("SELECT DISTINCT ?x WHERE { ?x <p2> ?y } "
+                           "ORDER BY ?x LIMIT 5");
   ASSERT_TRUE(result.ok());
+  const QueryProfile& profile = result.value().profile;
   EXPECT_EQ(profile.kind, QueryKind::kSparql);
   EXPECT_GT(profile.parse_ns, 0u);
   EXPECT_EQ(profile.rows_out, 5u);
@@ -112,11 +111,11 @@ TEST_F(QueryProfileTest, SparqlProfileRecordsPhasesAndOperators) {
 }
 
 TEST_F(QueryProfileTest, ExplainAnalyzeRendersActuals) {
-  QueryProfile profile;
-  auto report = ExplainAnalyzeSparql(
-      store_, dict_, "SELECT ?x WHERE { ?x <p1> ?y . ?x <p2> ?z }",
-      &profile);
+  query::Session session(store_, dict_);
+  auto report =
+      session.ExplainAnalyze("SELECT ?x WHERE { ?x <p1> ?y . ?x <p2> ?z }");
   ASSERT_TRUE(report.ok());
+  const QueryProfile& profile = session.last_profile();
   EXPECT_NE(report.value().find("actual: probes="), std::string::npos);
   EXPECT_NE(report.value().find("q_error="), std::string::npos);
   EXPECT_NE(report.value().find("phases: parse="), std::string::npos);
@@ -146,11 +145,10 @@ TEST_F(QueryProfileTest, SinkRecordsHistogramAndSlowLog) {
   ProfileSink sink(/*slow_threshold_ns=*/std::uint64_t{0});
   sink.RegisterWith(&registry);
 
-  QueryProfile profile;
   auto result =
-      RunSparql(store_, dict_, "SELECT ?x WHERE { ?x <p1> ?y }", &profile);
+      query::Session(store_, dict_).Query("SELECT ?x WHERE { ?x <p1> ?y }");
   ASSERT_TRUE(result.ok());
-  sink.Record(profile, "SELECT ?x WHERE { ?x <p1> ?y }");
+  sink.Record(result.value().profile, "SELECT ?x WHERE { ?x <p1> ?y }");
 
   // The sparql class histogram counted it...
   EXPECT_EQ(sink.histogram(QueryKind::kSparql)->Snapshot().count, 1u);
@@ -176,11 +174,10 @@ TEST_F(QueryProfileTest, SinkThresholdFiltersFastQueries) {
   // An unreachable threshold keeps the ring empty but still counts the
   // query in its class histogram.
   ProfileSink sink(std::uint64_t{1} << 62);
-  QueryProfile profile;
   auto result =
-      RunSparql(store_, dict_, "SELECT ?x WHERE { ?x <p1> ?y }", &profile);
+      query::Session(store_, dict_).Query("SELECT ?x WHERE { ?x <p1> ?y }");
   ASSERT_TRUE(result.ok());
-  sink.Record(profile, "q");
+  sink.Record(result.value().profile, "q");
   EXPECT_EQ(sink.histogram(QueryKind::kSparql)->Snapshot().count, 1u);
   EXPECT_EQ(sink.slow_queries().TotalRecorded(), 0u);
 }
@@ -225,9 +222,12 @@ TEST(QueryProfileDeltaTest, MidDeltaQErrorStaysBoundedOnUniformData) {
   }
   ASSERT_GT(store.StagedOps(), 0u);
 
-  QueryProfile profile;
-  ResultSet r =
-      EvalBgpPinned(store, dict, {TP(V("s"), B("p2"), V("o"))}, &profile);
+  query::Session session(store, dict,
+                         {.pin = query::PinPolicy::kLinearizable});
+  auto pinned = session.EvalBgp({TP(V("s"), B("p2"), V("o"))});
+  ASSERT_TRUE(pinned.ok());
+  const ResultSet& r = pinned.value().set;
+  const QueryProfile& profile = pinned.value().profile;
   EXPECT_EQ(r.rows.size(), 110u);  // churn oracle: 100 + 20 - 10
   ASSERT_EQ(profile.patterns.size(), 1u);
   EXPECT_EQ(profile.patterns[0].estimated, 110u);

@@ -8,7 +8,7 @@
 
 #include "core/graph.h"
 #include "query/result_json.h"
-#include "query/sparql_engine.h"
+#include "query/session.h"
 
 namespace hexastore {
 namespace {
@@ -51,9 +51,9 @@ class ResultJsonTest : public ::testing::Test {
   }
 
   std::string RunJson(const std::string& query) {
-    auto r = RunSparql(graph_.store(), graph_.dict(), query);
+    auto r = query::Session(graph_.store(), graph_.dict()).Query(query);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? ResultSetToJson(r.value(), graph_.dict()) : "";
+    return r.ok() ? ResultSetToJson(r.value().set, graph_.dict()) : "";
   }
 
   Graph graph_;

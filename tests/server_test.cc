@@ -1,8 +1,11 @@
 // Tests for the concurrent SPARQL HTTP server (server/server.h):
 // socket-free routing through Server::Handle, end-to-end socket round
 // trips, write visibility (publish-on-write), admission-control 503s,
-// and a concurrent clients-vs-compactor stress run (the TSan CI job
-// leans on this one).
+// Start/Stop cycles under a keep-alive client, a durable restart, and a
+// concurrent clients-vs-compactor stress run (the TSan CI job leans on
+// this one). Every server runs over a ShardedHexastore, the only store
+// shape it serves; most fixtures use one shard, as hexastore_server does
+// by default.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,20 +17,31 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
 #include "query/session.h"
 #include "server/http.h"
 #include "server/server.h"
 #include "server/store_options.h"
+#include "shard/sharded_hexastore.h"
 
 namespace hexastore {
 namespace {
+
+namespace fs = std::filesystem;
+
+// The default hexastore_server store shape: one in-memory shard.
+ShardedOptions OneShard(const DeltaOptions& delta = {}) {
+  ShardedOptions options;
+  options.shards = 1;
+  options.delta = delta;
+  return options;
+}
 
 HttpRequest MakeRequest(std::string method, std::string path,
                         std::vector<std::pair<std::string, std::string>>
@@ -149,7 +163,8 @@ class TestClient {
 
 class ServerHandleTest : public ::testing::Test {
  protected:
-  ServerHandleTest() : server_(store_, dict_, ServerOptions{}) {
+  ServerHandleTest()
+      : store_(OneShard()), server_(store_, dict_, ServerOptions{}) {
     for (int i = 0; i < 4; ++i) {
       store_.Insert(dict_.Encode(
           Triple{Term::Iri("http://x/s" + std::to_string(i)),
@@ -166,7 +181,7 @@ class ServerHandleTest : public ::testing::Test {
   }
 
   Dictionary dict_;
-  DeltaHexastore store_;
+  ShardedHexastore store_;
   Server server_;  // never Start()ed: routing only
   std::unique_ptr<query::Session> session_;
 };
@@ -244,7 +259,7 @@ TEST_F(ServerHandleTest, MetricsExposeServerAndPlanCacheFamilies) {
 
 // The same HTTP surface over the sharded facade: queries, publish-on-
 // write freshness and the metrics export all route through
-// ShardedHexastore (HEXA_SHARDS > 1 in the binary).
+// a 4-shard ShardedHexastore (HEXA_SHARDS=4 in the binary).
 class ShardedServerHandleTest : public ::testing::Test {
  protected:
   static ShardedOptions FourShards() {
@@ -342,7 +357,7 @@ TEST_F(ServerHandleTest, DeadlineOverrunIs504) {
 
 TEST(ServerSocketTest, EndToEndRoundTrips) {
   Dictionary dict;
-  DeltaHexastore store;
+  ShardedHexastore store(OneShard());
   for (int i = 0; i < 16; ++i) {
     store.Insert(dict.Encode(
         Triple{Term::Iri("http://x/s" + std::to_string(i)),
@@ -381,7 +396,7 @@ TEST(ServerSocketTest, EndToEndRoundTrips) {
 
 TEST(ServerSocketTest, OversizedRequestIs413) {
   Dictionary dict;
-  DeltaHexastore store;
+  ShardedHexastore store(OneShard());
   ServerOptions options;
   options.port = 0;
   options.max_request_bytes = 2048;
@@ -396,7 +411,7 @@ TEST(ServerSocketTest, OversizedRequestIs413) {
 
 TEST(ServerSocketTest, AdmissionControlShedsWith503) {
   Dictionary dict;
-  DeltaHexastore store;
+  ShardedHexastore store(OneShard());
   // Enough data that one ORDER BY query occupies the single worker for
   // a measurable window.
   for (int i = 0; i < 20000; ++i) {
@@ -464,7 +479,7 @@ TEST(ServerSocketTest, ConcurrentClientsVsCompactorStress) {
   delta.compact_threshold = 64;     // merge constantly
   delta.background_compaction = true;
   delta.l0_run_limit = 2;
-  DeltaHexastore store(delta);
+  ShardedHexastore store(OneShard(delta));
   ServerOptions options;
   options.port = 0;
   options.threads = 4;
@@ -533,6 +548,91 @@ TEST(ServerSocketTest, ConcurrentClientsVsCompactorStress) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(server.plan_cache().hits(), 0u);
   server.Stop();
+}
+
+// Stop() must return however its wake-up interleaves with a worker
+// handing a keep-alive connection back to the poller: each cycle serves
+// requests on a keep-alive connection and stops while the last one's
+// connection is on its way back, so the two wake-ups race. A poller
+// that drained both and went back to sleep would hang the cycle (and
+// the suite, until its ctest timeout).
+TEST(ServerSocketTest, StartStopCyclesWithKeepAliveClient) {
+  Dictionary dict;
+  ShardedHexastore store(OneShard());
+  store.Insert(dict.Encode(Triple{Term::Iri("http://x/s"),
+                                  Term::Iri("http://x/p"),
+                                  Term::Iri("http://x/o")}));
+  ServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  Server server(store, dict, options);
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    ASSERT_TRUE(server.Start().ok()) << "cycle " << cycle;
+    TestClient client(server.port());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(client.Request("POST", "/query",
+                               "SELECT ?s WHERE { ?s <http://x/p> ?o }"),
+                200)
+          << "cycle " << cycle;
+    }
+    server.Stop();
+  }
+}
+
+// A durable 1-shard facade keeps HTTP writes across a server restart:
+// insert, Stop, Flush, reopen, and the new server counts the same
+// triples. The count is id-level (all variables) because the dictionary
+// is not persisted, so a restarted server knows no terms.
+TEST(ServerSocketTest, DurableFacadeKeepsWritesAcrossRestart) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("hexa_server_test_durable_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  ShardedOptions store_options;
+  store_options.shards = 1;
+  store_options.durable = true;
+  store_options.durability.dir = dir.string();
+  ServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  const std::string count_query =
+      "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }";
+
+  std::string before;
+  {
+    auto opened = ShardedHexastore::Open(store_options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Dictionary dict;
+    Server server(*opened.value(), dict, options);
+    ASSERT_TRUE(server.Start().ok());
+    TestClient client(server.port());
+    std::string triples;
+    for (int i = 0; i < 40; ++i) {
+      triples += "<http://x/s" + std::to_string(i) + "> <http://x/p" +
+                 std::to_string(i % 3) + "> <http://x/o> .\n";
+    }
+    std::string body;
+    ASSERT_EQ(client.Request("POST", "/insert", triples, &body), 200);
+    EXPECT_NE(body.find("\"inserted\":40"), std::string::npos) << body;
+    ASSERT_EQ(client.Request("POST", "/query", count_query, &before), 200);
+    EXPECT_NE(before.find("\"value\":\"40\""), std::string::npos)
+        << before;
+    server.Stop();
+    ASSERT_TRUE(opened.value()->Flush().ok());
+  }
+  {
+    auto reopened = ShardedHexastore::Open(store_options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    Dictionary fresh;
+    Server server(*reopened.value(), fresh, options);
+    ASSERT_TRUE(server.Start().ok());
+    TestClient client(server.port());
+    std::string after;
+    ASSERT_EQ(client.Request("POST", "/query", count_query, &after), 200);
+    EXPECT_EQ(after, before);
+    server.Stop();
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

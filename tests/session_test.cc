@@ -1,7 +1,7 @@
 // Tests for the unified query::Session API (query/session.h): pin
 // policies and write visibility, per-query deadlines, ProfileSink
-// feeding, plan-cache integration, and equivalence with the deprecated
-// RunSparql / EvalBgpPinned shims.
+// feeding, plan-cache integration, and equivalence of the pinned and
+// unpinned evaluation paths.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,7 +14,6 @@
 #include "query/plan_cache.h"
 #include "query/result_json.h"
 #include "query/session.h"
-#include "query/sparql_engine.h"
 
 namespace hexastore {
 namespace {
@@ -53,15 +52,17 @@ constexpr const char* kChainQuery =
     "SELECT ?a ?c WHERE { ?a <http://x/knows> ?b . "
     "?b <http://x/knows> ?c } ORDER BY ?a";
 
-TEST_F(SessionTest, QueryMatchesLegacyRunSparql) {
+TEST_F(SessionTest, PinnedQueryMatchesUnpinnedSession) {
   query::Session session(store_, dict_);
   auto via_session = session.Query(kChainQuery);
   ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
 
-  auto legacy = RunSparql(store_, dict_, kChainQuery);
-  ASSERT_TRUE(legacy.ok());
+  // The TripleStore constructor evaluates the live store directly.
+  query::Session unpinned(static_cast<const TripleStore&>(store_), dict_);
+  auto direct = unpinned.Query(kChainQuery);
+  ASSERT_TRUE(direct.ok());
   EXPECT_EQ(ResultSetToJson(via_session.value().set, dict_),
-            ResultSetToJson(legacy.value(), dict_));
+            ResultSetToJson(direct.value().set, dict_));
   // Sessions always profile: phase times and rows populated.
   EXPECT_EQ(via_session.value().profile.rows_out,
             via_session.value().set.rows.size());
@@ -166,7 +167,7 @@ TEST_F(SessionTest, PlanCacheServesRepeatedTemplates) {
   EXPECT_EQ(cache.hits(), 2u);
 }
 
-TEST_F(SessionTest, EvalBgpMatchesPinnedShim) {
+TEST_F(SessionTest, EvalBgpWaitFreeMatchesLinearizable) {
   std::vector<TriplePattern> patterns = {Pat("?a", "knows", "?b"),
                                          Pat("?b", "knows", "?c")};
   query::Session session(store_, dict_);
@@ -174,14 +175,17 @@ TEST_F(SessionTest, EvalBgpMatchesPinnedShim) {
   ASSERT_TRUE(via_session.ok());
   EXPECT_EQ(via_session.value().profile.kind, QueryKind::kBgp);
 
-  QueryProfile profile;
-  ResultSet via_shim = EvalBgpPinned(store_, dict_, patterns, &profile);
+  query::Session linearizable(store_, dict_,
+                              {.pin = query::PinPolicy::kLinearizable});
+  auto pinned = linearizable.EvalBgp(patterns);
+  ASSERT_TRUE(pinned.ok());
   EXPECT_EQ(ResultSetToJson(via_session.value().set, dict_),
-            ResultSetToJson(via_shim, dict_));
-  // The shim preserves the legacy profile contract: patterns attached,
-  // total covers parse+pin.
+            ResultSetToJson(pinned.value().set, dict_));
+  // Pinned profile contract: patterns attached, total covers parse+pin.
+  const QueryProfile& profile = pinned.value().profile;
   EXPECT_EQ(profile.patterns.size(), 2u);
   EXPECT_GT(profile.rows_out, 0u);
+  EXPECT_EQ(profile.total_ns, profile.parse_ns + profile.pin_ns);
 }
 
 TEST_F(SessionTest, ExplainIsDeterministicAndAnalyzeRuns) {
@@ -196,6 +200,34 @@ TEST_F(SessionTest, ExplainIsDeterministicAndAnalyzeRuns) {
   auto analyzed = session.ExplainAnalyze(kChainQuery);
   ASSERT_TRUE(analyzed.ok());
   EXPECT_NE(analyzed.value().find("actual"), std::string::npos);
+}
+
+// Golden EXPLAIN text: the BGP plan (join order, index, bound
+// positions, estimates) followed by the solution-modifier stages in
+// pipeline order; a constant missing from the dictionary short-circuits
+// the plan but still lists the modifiers.
+TEST_F(SessionTest, GoldenExplain) {
+  query::Session session(store_, dict_);
+  auto plan = session.Explain(
+      "SELECT DISTINCT ?a WHERE { ?a <http://x/knows> ?b . "
+      "?b <http://x/type> <http://x/Person> . FILTER(?a != ?b) } "
+      "ORDER BY ?a LIMIT 3");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan.value(),
+            "plan: sparql, 2 patterns, estimate_probes=3, memo_hits=0\n"
+            "  step 1: pattern[1] (?b <http://x/type> <http://x/Person>)  "
+            "index=pos bound=2 est=8\n"
+            "  step 2: pattern[0] (?a <http://x/knows> ?b)  index=pos "
+            "bound=2 est=1\n"
+            "modifiers: filter order_by project distinct limit\n");
+
+  auto empty = session.Explain(
+      "SELECT (COUNT(*) AS ?n) WHERE { ?a <http://x/likes> ?b }");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty.value(),
+            "plan: sparql, empty result (constant term not in "
+            "dictionary)\n"
+            "modifiers: aggregate\n");
 }
 
 TEST_F(SessionTest, ParseErrorsPropagate) {

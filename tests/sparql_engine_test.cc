@@ -1,9 +1,10 @@
-// End-to-end tests for SPARQL-subset execution over the Graph facade.
+// End-to-end tests for SPARQL-subset execution over the Graph facade,
+// through an unpinned query::Session.
 #include <gtest/gtest.h>
 
 #include "baseline/triple_table.h"
 #include "core/graph.h"
-#include "query/sparql_engine.h"
+#include "query/session.h"
 
 namespace hexastore {
 namespace {
@@ -30,9 +31,9 @@ class SparqlEngineTest : public ::testing::Test {
   }
 
   ResultSet Run(const std::string& query) {
-    auto r = RunSparql(graph_.store(), graph_.dict(), query);
+    auto r = query::Session(graph_.store(), graph_.dict()).Query(query);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? std::move(r).value() : ResultSet{};
+    return r.ok() ? std::move(r).value().set : ResultSet{};
   }
 
   Graph graph_;
@@ -99,13 +100,13 @@ TEST_F(SparqlEngineTest, SelectStarKeepsAllVars) {
 }
 
 TEST_F(SparqlEngineTest, UnknownSelectVarIsError) {
-  auto r = RunSparql(graph_.store(), graph_.dict(),
-                     "SELECT ?zzz WHERE { ?s ?p ?o }");
+  auto r = query::Session(graph_.store(), graph_.dict())
+               .Query("SELECT ?zzz WHERE { ?s ?p ?o }");
   EXPECT_FALSE(r.ok());
 }
 
 TEST_F(SparqlEngineTest, ParseErrorPropagates) {
-  auto r = RunSparql(graph_.store(), graph_.dict(), "SELEKT broken");
+  auto r = query::Session(graph_.store(), graph_.dict()).Query("SELEKT broken");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
@@ -119,11 +120,11 @@ TEST_F(SparqlEngineTest, WorksOverAnyStore) {
   const std::string q =
       "PREFIX x: <http://x/>\n"
       "SELECT ?s ?n WHERE { ?s x:name ?n } ORDER BY ?n";
-  auto r1 = RunSparql(graph_.store(), graph_.dict(), q);
-  auto r2 = RunSparql(table, graph_.dict(), q);
+  auto r1 = query::Session(graph_.store(), graph_.dict()).Query(q);
+  auto r2 = query::Session(table, graph_.dict()).Query(q);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1.value().rows, r2.value().rows);
+  EXPECT_EQ(r1.value().set.rows, r2.value().set.rows);
 }
 
 }  // namespace
